@@ -1,8 +1,10 @@
 //! Wall-clock throughput benchmark for the simcore batched-access fast path.
 //!
-//! Replays five access traces through the scalar `Cpu::load`/`Cpu::store`
-//! verbs and through `Cpu::access_run`, and reports simulated accesses per
-//! host second for each, plus the speedup. The two replays issue the
+//! Replays access traces one access at a time through the reference verbs
+//! (`simcore::cpu::oracle::{load, store}`: the per-access charging over the
+//! scalar hierarchy walk, the baseline every floor below was set against)
+//! and through `Cpu::access_run`, and reports simulated accesses per host
+//! second for each, plus the speedup. The two replays issue the
 //! *identical* access sequence (the equivalence is proven bit-exact by
 //! `tests/access_equiv.rs`); this binary measures only how fast the
 //! simulator gets through it. Each arm runs three times with the arms
@@ -23,7 +25,12 @@
 //! * `columnar_scan` — the vectorized executor's lane shape (per 1024-row
 //!   batch: stream the predicate lane, gather the projected lane, store
 //!   the materialized batch into a bounded scratch ring), so the `vec`
-//!   personality's dominant access pattern has its own floor.
+//!   personality's dominant access pattern has its own floor,
+//! * `governed_mixed` — the `mixed` trace with the EIST governor
+//!   re-evaluating every 15 µs and a 10 µs timeline sampler attached (the
+//!   Fig. 5 setting). Both arms issue the same run-verb calls; the
+//!   reference arm switches the fast paths off with `set_fastpath(false)`,
+//!   so the speedup is what deadline chunking buys governed runs.
 //!
 //! `--e2e` additionally runs the full repro_all experiment suite twice
 //! in-process — once with the fast paths disabled, once enabled — checks the
@@ -39,6 +46,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mjobs::json::{parse, Json};
+use simcore::cpu::oracle;
 use simcore::{set_fastpath, ArchConfig, Cpu, Dep, RunStats, LINE};
 
 /// Wall-clock of the previous release's repro_all (fast paths of PR 3 only,
@@ -51,19 +59,23 @@ const PREV_RELEASE_REPRO_ALL_S: f64 = 471.9;
 /// The floor is a regression tripwire — the binary exits non-zero below it.
 /// The target is the fast-path design goal; it is recorded per trace in the
 /// JSON and a miss is printed as a note, not a failure. The SoA cache
-/// arrays (PR 7) moved two of PR 6's missed targets: `scan_cold` now
-/// reaches its 3× target on quiet host windows (measured 2.4–3.2× on the
-/// shared reference host; floor raised 2.0 → 2.2 to the worst observed run
-/// minus noise margin), and `chase` gets a higher floor (1.3 → 1.4) but
-/// keeps missing its 2× target for a now-measured structural reason: its
-/// batched throughput is invariant under a 4× shrink of the way arrays
-/// (12.0 → 12.1 M/s), so the chase step is bound by the bit-identity
-/// settle/charge chain plus one step-serialized random LLC access, not by
-/// array footprint — see DESIGN.md §9 for the decomposition.
+/// arrays (DESIGN.md §9) moved two of the fused walk's missed targets:
+/// `scan_cold` now reaches its 3× target on quiet host windows (measured
+/// 2.4–3.2× on the shared reference host; floor raised 2.0 → 2.2 to the
+/// worst observed run minus noise margin), and `chase` gets a higher floor
+/// (1.3 → 1.4) but keeps missing its 2× target for a now-measured
+/// structural reason: its batched throughput is invariant under a 4×
+/// shrink of the way arrays (12.0 → 12.1 M/s), so the chase step is bound
+/// by the bit-identity settle/charge chain plus one step-serialized random
+/// LLC access, not by array footprint — see DESIGN.md §9 for the
+/// decomposition.
 /// `columnar_scan` floors the vectorized executor's lane mix: its 512 KB
 /// lanes never fit L1, so every line rides the fused cold walk (measured
 /// 2.2× smoke / 2.5× full on the shared reference host; floor set to the
-/// worst observed run minus noise margin).
+/// worst observed run minus noise margin). `governed_mixed` floors the
+/// deadline-chunked regimes against the same calls with the fast paths off
+/// (measured 1.81–2.75× over seven full runs on the shared 2-vCPU
+/// reference host; floor set to the worst observed run minus noise margin).
 const THRESHOLDS: &[(&str, f64, f64)] = &[
     ("scan_hot", 5.0, 5.0),
     ("scan_cold", 2.2, 3.0),
@@ -71,6 +83,7 @@ const THRESHOLDS: &[(&str, f64, f64)] = &[
     ("mixed", 1.5, 2.0),
     ("set_conflict_storm", 1.2, 1.5),
     ("columnar_scan", 1.8, 2.5),
+    ("governed_mixed", 1.5, 2.5),
 ];
 
 fn thresholds_for(name: &str) -> (f64, f64) {
@@ -197,7 +210,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
         |cpu, base| {
             for _ in 0..passes {
                 for i in 0..hot_lines {
-                    cpu.load(base + i * LINE, Dep::Stream);
+                    oracle::load(cpu, base + i * LINE, Dep::Stream);
                 }
             }
         },
@@ -218,7 +231,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
         |cpu, base| {
             for _ in 0..cold_passes {
                 for i in 0..cold_lines {
-                    cpu.load(base + i * LINE, Dep::Stream);
+                    oracle::load(cpu, base + i * LINE, Dep::Stream);
                 }
             }
         },
@@ -238,7 +251,7 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
         |cpu, base| {
             let mut rng = Rng(0xc4a5e);
             for _ in 0..chases {
-                cpu.load(base + chase_at(&mut rng), Dep::Chase);
+                oracle::load(cpu, base + chase_at(&mut rng), Dep::Chase);
             }
         },
         |cpu, base| {
@@ -253,6 +266,15 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
     // (roughly the shape of an index-nested-loop over warm pages).
     let iters: u64 = 1_000 * scale;
     let mixed_accesses = iters * (64 + 1 + 32 + 64);
+    let mixed_batched = |cpu: &mut Cpu, base: u64| {
+        let mut rng = Rng(0x313ed);
+        for _ in 0..iters {
+            cpu.access_run(base, 64, false, Dep::Stream);
+            cpu.access_run(base + chase_at(&mut rng), 1, false, Dep::Chase);
+            cpu.load_repeat(base + 8 * LINE, 32);
+            cpu.access_run(base, 64, true, Dep::Stream);
+        }
+    };
     results.push(run_trace(
         "mixed",
         mixed_accesses,
@@ -260,26 +282,38 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
             let mut rng = Rng(0x313ed);
             for _ in 0..iters {
                 for i in 0..64 {
-                    cpu.load(base + i * LINE, Dep::Stream);
+                    oracle::load(cpu, base + i * LINE, Dep::Stream);
                 }
-                cpu.load(base + chase_at(&mut rng), Dep::Chase);
+                oracle::load(cpu, base + chase_at(&mut rng), Dep::Chase);
                 for _ in 0..32 {
-                    cpu.load(base + 8 * LINE, Dep::Stream);
+                    oracle::load(cpu, base + 8 * LINE, Dep::Stream);
                 }
                 for i in 0..64 {
-                    cpu.store(base + i * LINE);
+                    oracle::store(cpu, base + i * LINE);
                 }
             }
         },
+        mixed_batched,
+    ));
+
+    // governed_mixed: `mixed` under tpch_governed's setting. The fast arm
+    // runs its regimes between deadlines; the reference arm is the same
+    // calls with every line sent through the per-access verbs.
+    let governed = |cpu: &mut Cpu, base: u64| {
+        cpu.set_governor(true);
+        cpu.set_governor_interval(15e-6);
+        cpu.attach_sampler(10e-6);
+        mixed_batched(cpu, base);
+    };
+    results.push(run_trace(
+        "governed_mixed",
+        mixed_accesses,
         |cpu, base| {
-            let mut rng = Rng(0x313ed);
-            for _ in 0..iters {
-                cpu.access_run(base, 64, false, Dep::Stream);
-                cpu.access_run(base + chase_at(&mut rng), 1, false, Dep::Chase);
-                cpu.load_repeat(base + 8 * LINE, 32);
-                cpu.access_run(base, 64, true, Dep::Stream);
-            }
+            set_fastpath(false);
+            governed(cpu, base);
+            set_fastpath(true);
         },
+        governed,
     ));
 
     // set_conflict_storm: every access at stride 4096 lands in L1D set 0
@@ -297,9 +331,9 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
             for p in 0..storm_passes {
                 for k in 0..storm_slots {
                     if (p + k) % 3 == 0 {
-                        cpu.store(base + k * 4096);
+                        oracle::store(cpu, base + k * 4096);
                     } else {
-                        cpu.load(base + k * 4096, Dep::Stream);
+                        oracle::load(cpu, base + k * 4096, Dep::Stream);
                     }
                 }
             }
@@ -336,13 +370,13 @@ fn run_all(scale: u64) -> Vec<TraceResult> {
                         + 2 * lane_bytes
                         + ((p * col_batches + b) * batch_lines % ring_lines) * LINE;
                     for i in 0..batch_lines {
-                        cpu.load(pred + i * LINE, Dep::Stream);
+                        oracle::load(cpu, pred + i * LINE, Dep::Stream);
                     }
                     for i in 0..batch_lines {
-                        cpu.load(lane + i * LINE, Dep::Stream);
+                        oracle::load(cpu, lane + i * LINE, Dep::Stream);
                     }
                     for i in 0..batch_lines {
-                        cpu.store(out + i * LINE);
+                        oracle::store(cpu, out + i * LINE);
                     }
                 }
             }

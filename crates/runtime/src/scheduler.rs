@@ -132,6 +132,7 @@ pub fn run_suite(
     // Start the suite with clean fast-path totals so metrics.json reflects
     // this run only, even when several suites share one process (tests).
     simcore::take_run_stats();
+    simcore::take_fallback_reasons();
     simcore::take_cache_bytes_resident();
     let selected: Vec<&dyn Experiment> = registry
         .iter()
@@ -256,13 +257,17 @@ pub fn run_suite(
 
     // All workers have joined (scope end), so every shard's `Cpu` has
     // dropped and flushed its fast-path tallies into the simcore globals.
-    // Publish them once per suite; all four are jobs-count independent
+    // Publish them once per suite, fallbacks also split by reason as
+    // `simcore.run_fallbacks.<reason>`; all are jobs-count independent
     // because batching decisions never depend on scheduling.
     let st = simcore::take_run_stats();
     mjobs::metrics::counter_add("simcore.run_batched_lines", st.batched_lines);
     mjobs::metrics::counter_add("simcore.run_cold_batched_lines", st.cold_batched_lines);
     mjobs::metrics::counter_add("simcore.run_replayed_lines", st.replayed_lines);
     mjobs::metrics::counter_add("simcore.run_fallbacks", st.fallbacks);
+    for (reason, lines) in simcore::take_fallback_reasons().named() {
+        mjobs::metrics::counter_add(&format!("simcore.run_fallbacks.{reason}"), lines);
+    }
     // The cache-metadata footprint is pure geometry (SoA tag arrays + rank
     // words + way-hint tables of the largest machine built this suite), so
     // it too is jobs-count independent — asserted in tests/determinism.rs.

@@ -1400,10 +1400,10 @@ mod tests {
                 let a = (rng() % 4096) * 64;
                 match rng() % 4 {
                     0 => {
-                        c.fill(a, rng() % 2 == 0, rng() % 2 == 0);
+                        c.fill(a, rng().is_multiple_of(2), rng().is_multiple_of(2));
                     }
                     1 => {
-                        c.access(a, rng() % 2 == 0);
+                        c.access(a, rng().is_multiple_of(2));
                     }
                     2 => {
                         c.invalidate(a);
@@ -1485,21 +1485,21 @@ mod tests {
         let a = (rng() % addr_lines) * 64;
         match rng() % 8 {
             0 | 1 => {
-                let (d, p) = (rng() % 2 == 0, rng() % 2 == 0);
+                let (d, p) = (rng().is_multiple_of(2), rng().is_multiple_of(2));
                 assert_eq!(c.fill(a, d, p), o.fill(a, d, p), "fill {a}");
             }
             2 | 3 => {
-                let w = rng() % 2 == 0;
+                let w = rng().is_multiple_of(2);
                 assert_eq!(c.access(a, w), o.access(a, w), "access {a}");
             }
             4 => {
                 let n = rng() % 64;
-                let w = rng() % 2 == 0;
+                let w = rng().is_multiple_of(2);
                 assert_eq!(c.access_run(a, n, w), o.access_run(a, n, w), "run {a}");
             }
             5 => {
                 let n = rng() % 9;
-                let w = rng() % 2 == 0;
+                let w = rng().is_multiple_of(2);
                 assert_eq!(
                     c.access_repeat(a, n, w),
                     o.access_repeat(a, n, w),
@@ -1536,7 +1536,7 @@ mod tests {
             };
             let mut c = Cache::new(&cfg);
             let mut o = oracle::StampCache::new(&cfg);
-            let mut rng = rng_from(0x5851_f42d_4c95_7f2d ^ size as u64);
+            let mut rng = rng_from(0x5851_f42d_4c95_7f2d ^ size);
             for i in 0..PROP_ITERS {
                 let a = drive_pair(&mut c, &mut o, &mut rng, addr_lines);
                 assert_eq!(c.stamp(), o.stamp(), "stamp after op {i}");
@@ -1553,7 +1553,7 @@ mod tests {
                     c.ranks[set]
                 );
                 // Occasionally flush both and re-verify from empty.
-                if rng() % 512 == 0 {
+                if rng().is_multiple_of(512) {
                     c.flush();
                     o.flush();
                 }

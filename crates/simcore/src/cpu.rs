@@ -10,13 +10,34 @@
 //!   bytes in the [`Arena`],
 //! * [`Cpu::idle_c0`] / [`Cpu::idle_deep`] — let simulated wall time pass
 //!   without work (I/O waits, the background-calibration "sleep 1").
+//!
+//! The run verbs ([`Cpu::access_run`], [`Cpu::copy_run`],
+//! [`Cpu::load_repeat`], [`Cpu::store_repeat`]) simulate many accesses per
+//! call through three fast regimes — hot batch, fused cold walk and chase
+//! step, memoized replay — bit-identical to issuing the accesses one at a
+//! time. Every access, single or batched, walks the hierarchy through the
+//! fused walk; the scalar walk survives only as the test oracle
+//! ([`oracle`], [`crate::hierarchy::oracle`]).
+//!
+//! The governor and the timeline sampler act at fixed simulated-time
+//! intervals. The machine keeps a *deadline* — the earliest clock reading
+//! at which either could act, `+∞` with neither — and every time step,
+//! batched or not, compares the clock against it; the fast regimes run up
+//! to the deadline, service both exactly as a per-access step would
+//! (sampler first, then governor), reload their hoisted charges if the
+//! P-state moved, and continue. Within one access the scalar rules hold: a
+//! tick between a miss's issue slot and its stall keeps the stall's cycles
+//! (sized from the issue-time latency) but prices, times and charges
+//! background power for it at the new P-state; a write-allocate fill is
+//! priced at the store's issue-time frequency; a chase re-arms its shadow
+//! from its issue-time latency.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::arch::{ArchConfig, ArchKind};
 use crate::arena::{Arena, MemError, Region};
 use crate::dvfs::{Governor, PState};
-use crate::energy::{EnergyMeter, EnergyModel, OpClass, Price, RaplReading};
+use crate::energy::{scale_price, EnergyMeter, EnergyModel, OpClass, Price, RaplReading};
 use crate::hierarchy::{AccessResult, ColdCtx, Hierarchy, HitLevel};
 use crate::pmu::{Event, Pmu, PmuSnapshot};
 use crate::timeline::TimelineSampler;
@@ -28,9 +49,12 @@ static RUN_BATCHED_LINES: AtomicU64 = AtomicU64::new(0);
 static RUN_COLD_BATCHED_LINES: AtomicU64 = AtomicU64::new(0);
 static RUN_REPLAYED_LINES: AtomicU64 = AtomicU64::new(0);
 static RUN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
+/// [`RUN_FALLBACKS`] split by [`Fallback`] reason (see
+/// [`take_fallback_reasons`]).
+static RUN_FALLBACKS_BY_REASON: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
 
 /// Process-wide switch for the batched/fused fast paths. On by default;
-/// turned off, every run verb routes through the scalar per-access path.
+/// turned off, every run verb routes each line through the per-access verbs.
 /// The results are bit-identical either way — the switch exists so
 /// benchmarks can measure the speedup end-to-end and tests can prove the
 /// equivalence on whole workloads.
@@ -56,8 +80,59 @@ pub struct RunStats {
     pub cold_batched_lines: u64,
     /// Lines serviced from the memoized-replay cache.
     pub replayed_lines: u64,
-    /// Lines routed through the scalar path by a run verb.
+    /// Lines routed through the per-access verbs by a run verb (split by
+    /// reason in [`FallbackReasons`]).
     pub fallbacks: u64,
+}
+
+/// Why a run verb sent a line through the per-access verbs instead of a
+/// fast regime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fallback {
+    /// A chase or copy line inside the TCM window.
+    TcmBoundary = 0,
+    /// A chase load left fillable shadow cycles that per-access busy work
+    /// must drain first.
+    ChaseShadow = 1,
+    /// The fast paths are switched off ([`set_fastpath`]).
+    FastPathOff = 2,
+}
+
+/// [`RunStats::fallbacks`] split by reason (see [`take_fallback_reasons`] /
+/// [`Cpu::fallback_reasons`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FallbackReasons {
+    /// Chase or copy lines inside the TCM window.
+    pub tcm_boundary: u64,
+    /// Lines issued while a chase load's fillable shadow was draining.
+    pub chase_shadow: u64,
+    /// Lines issued with the fast paths switched off.
+    pub fastpath_off: u64,
+}
+
+impl FallbackReasons {
+    fn from_counts(c: [u64; 3]) -> Self {
+        FallbackReasons {
+            tcm_boundary: c[Fallback::TcmBoundary as usize],
+            chase_shadow: c[Fallback::ChaseShadow as usize],
+            fastpath_off: c[Fallback::FastPathOff as usize],
+        }
+    }
+
+    /// `(name, lines)` per reason, in a fixed order. Harnesses publish each
+    /// as `simcore.run_fallbacks.<name>`.
+    pub fn named(&self) -> [(&'static str, u64); 3] {
+        [
+            ("tcm_boundary", self.tcm_boundary),
+            ("chase_shadow", self.chase_shadow),
+            ("fastpath_off", self.fastpath_off),
+        ]
+    }
+
+    /// Lines over all reasons — equal to [`RunStats::fallbacks`].
+    pub fn total(&self) -> u64 {
+        self.tcm_boundary + self.chase_shadow + self.fastpath_off
+    }
 }
 
 /// Drain the process-wide fast-path counters, summed over every [`Cpu`]
@@ -71,6 +146,17 @@ pub fn take_run_stats() -> RunStats {
         replayed_lines: RUN_REPLAYED_LINES.swap(0, Ordering::Relaxed),
         fallbacks: RUN_FALLBACKS.swap(0, Ordering::Relaxed),
     }
+}
+
+/// Drain the process-wide per-reason fallback counters, summed over every
+/// [`Cpu`] dropped since the last call; their total matches the
+/// `fallbacks` of a [`take_run_stats`] drained at the same point.
+pub fn take_fallback_reasons() -> FallbackReasons {
+    FallbackReasons::from_counts(
+        RUN_FALLBACKS_BY_REASON
+            .each_ref()
+            .map(|c| c.swap(0, Ordering::Relaxed)),
+    )
 }
 
 /// High-water mark of host bytes backing one machine's simulated cache
@@ -183,6 +269,38 @@ struct ColdCharges {
     issue_dt: f64,
     /// `1.0 / hz` — wall time of one busy cycle (`advance(1, 0)`).
     one_dt: f64,
+}
+
+impl ColdCharges {
+    /// `charge_frontend(class)` with the hoisted prices.
+    #[inline(always)]
+    fn frontend(&self, meter: &mut EnergyMeter, last_class: &mut u8, class: u8) {
+        meter.charge(self.fetch);
+        if *last_class != class && *last_class != u8::MAX {
+            meter.charge(self.decode);
+        }
+        *last_class = class;
+    }
+
+    /// `charge_access_side_effects(r)` with the hoisted prices.
+    #[inline(always)]
+    fn side_effects(&self, meter: &mut EnergyMeter, r: &AccessResult) {
+        for _ in 0..r.pf_l2 {
+            meter.charge(self.pf_l2);
+        }
+        for i in 0..r.pf_l3 {
+            meter.charge(self.pf_l3[(i < r.pf_l3_row_hits) as usize]);
+        }
+        for _ in 0..r.wb_l1 {
+            meter.charge(self.wb[0]);
+        }
+        for _ in 0..r.wb_l2 {
+            meter.charge(self.wb[1]);
+        }
+        for _ in 0..r.wb_l3 {
+            meter.charge(self.wb[2]);
+        }
+    }
 }
 
 /// Replay-cache slots (direct-mapped).
@@ -319,6 +437,13 @@ pub struct Cpu {
     win_start_s: f64,
     win_active_s: f64,
     sampler: Option<TimelineSampler>,
+    /// Busy seconds of the sampler's current window (credited whether or
+    /// not a sampler is attached; reset on attach and by each sample).
+    sample_active_s: f64,
+    /// Earliest clock reading at which the sampler or governor could act
+    /// (`+∞` with neither active). Every time step compares the clock
+    /// against it; see [`Cpu::rearm_deadline`].
+    deadline: f64,
     /// Last retired instruction class (for the decode-switch effect).
     last_class: u8,
     /// Instruction-fetch energy discount in `[0, 0.5]` — models an ITCM
@@ -340,9 +465,9 @@ pub struct Cpu {
     run_cold_batched_lines: u64,
     /// Lines serviced from the memoized-replay cache.
     run_replayed_lines: u64,
-    /// Lines routed through the scalar path by [`Cpu::access_run`] /
-    /// the repeat verbs because the run was (locally) heterogeneous.
-    run_fallbacks: u64,
+    /// Lines the run verbs routed through the per-access verbs, indexed by
+    /// [`Fallback`] reason.
+    fallbacks: [u64; 3],
 }
 
 impl Drop for Cpu {
@@ -350,7 +475,10 @@ impl Drop for Cpu {
         RUN_BATCHED_LINES.fetch_add(self.run_batched_lines, Ordering::Relaxed);
         RUN_COLD_BATCHED_LINES.fetch_add(self.run_cold_batched_lines, Ordering::Relaxed);
         RUN_REPLAYED_LINES.fetch_add(self.run_replayed_lines, Ordering::Relaxed);
-        RUN_FALLBACKS.fetch_add(self.run_fallbacks, Ordering::Relaxed);
+        RUN_FALLBACKS.fetch_add(self.fallbacks.iter().sum(), Ordering::Relaxed);
+        for (total, &n) in RUN_FALLBACKS_BY_REASON.iter().zip(&self.fallbacks) {
+            total.fetch_add(n, Ordering::Relaxed);
+        }
     }
 }
 
@@ -382,6 +510,8 @@ impl Cpu {
             win_start_s: 0.0,
             win_active_s: 0.0,
             sampler: None,
+            sample_active_s: 0.0,
+            deadline: f64::INFINITY,
             last_class: u8::MAX,
             ifetch_discount: 0.0,
             run_charges: None,
@@ -391,7 +521,7 @@ impl Cpu {
             run_batched_lines: 0,
             run_cold_batched_lines: 0,
             run_replayed_lines: 0,
-            run_fallbacks: 0,
+            fallbacks: [0; 3],
         }
     }
 
@@ -416,6 +546,7 @@ impl Cpu {
         self.governor_on = on;
         self.win_start_s = self.time_s;
         self.win_active_s = 0.0;
+        self.rearm_deadline();
     }
 
     /// Set the governor's re-evaluation window. Simulated workloads are
@@ -426,6 +557,7 @@ impl Cpu {
         self.governor.interval_s = seconds;
         self.win_start_s = self.time_s;
         self.win_active_s = 0.0;
+        self.rearm_deadline();
     }
 
     /// Enable/disable the hardware prefetcher (§2.5.3).
@@ -443,17 +575,21 @@ impl Cpu {
 
     #[inline]
     fn fetch_price_eff(&self, hz: f64) -> crate::energy::Price {
-        crate::energy::scale_price(self.model.fetch_price(hz), 1.0 - self.ifetch_discount)
+        scale_price(self.model.fetch_price(hz), 1.0 - self.ifetch_discount)
     }
 
     /// Attach a timeline sampler with the given interval.
     pub fn attach_sampler(&mut self, interval_s: f64) {
         self.sampler = Some(TimelineSampler::new(interval_s, self.time_s));
+        self.sample_active_s = 0.0;
+        self.rearm_deadline();
     }
 
     /// Detach and return the sampler, if any.
     pub fn take_sampler(&mut self) -> Option<TimelineSampler> {
-        self.sampler.take()
+        let s = self.sampler.take();
+        self.rearm_deadline();
+        s
     }
 
     /// Drop all cached state and forget trained prefetch streams.
@@ -521,7 +657,7 @@ impl Cpu {
             self.stall_cycles += stall;
             let n = stall;
             let p = self.model.stall_price(self.freq_hz());
-            self.meter.charge(crate::energy::scale_price(p, n));
+            self.meter.charge(scale_price(p, n));
         }
         self.busy_cycles += busy;
         let dt = (busy + stall) / self.freq_hz();
@@ -532,17 +668,77 @@ impl Cpu {
     }
 
     /// Wall time passes; charge `power` watts per domain and run the
-    /// governor/sampler bookkeeping.
-    fn pass_time(&mut self, dt: f64, active: bool, power: (f64, f64, f64)) {
+    /// governor/sampler bookkeeping. Returns whether a deadline was serviced
+    /// (the P-state may have changed). The fast paths call this per access
+    /// step too, so every time step — batched or not — is one `pass_time`.
+    #[inline(always)]
+    fn pass_time(&mut self, dt: f64, active: bool, power: (f64, f64, f64)) -> bool {
         self.time_s += dt;
         self.meter.charge_power(power, dt);
         if active {
-            self.win_active_s += dt;
+            self.credit_active(dt);
         }
+        self.check_deadline()
+    }
+
+    /// Credit `dt` busy seconds to the governor's and the sampler's
+    /// windows: one addition per time step each, in step order.
+    #[inline(always)]
+    fn credit_active(&mut self, dt: f64) {
+        self.win_active_s += dt;
+        self.sample_active_s += dt;
+    }
+
+    /// Service the sampler and governor once the clock reaches the
+    /// deadline. Returns whether it did.
+    #[inline(always)]
+    fn check_deadline(&mut self) -> bool {
+        if self.time_s >= self.deadline {
+            self.service_deadline();
+            return true;
+        }
+        debug_assert!(!self.acts_at(self.time_s), "deadline not conservative");
+        false
+    }
+
+    /// The exact predicates: would the sampler or the governor act with the
+    /// clock at `t`?
+    fn acts_at(&self, t: f64) -> bool {
+        self.sampler.as_ref().is_some_and(|s| t >= s.due_at())
+            || (self.governor_on && t - self.win_start_s >= self.governor.interval_s)
+    }
+
+    /// Sampler first, then governor: a sample taken in the same step
+    /// records the pre-tick P-state and the meter as charged so far.
+    #[cold]
+    #[inline(never)]
+    fn service_deadline(&mut self) {
         if let Some(s) = &mut self.sampler {
-            s.advance(self.time_s, dt, active, self.pstate, self.meter.reading());
+            let rapl = self.meter.reading();
+            s.fire(self.time_s, &mut self.sample_active_s, self.pstate, rapl);
         }
         self.tick_governor();
+        self.rearm_deadline();
+    }
+
+    /// Recompute [`Cpu::deadline`] from the sampler and governor state.
+    ///
+    /// The sampler's bound is its exact firing threshold. The governor's
+    /// predicate `time_s - win_start_s >= interval_s` is evaluated on a
+    /// rounded difference, so its bound keeps a relative margin of 1e-12 —
+    /// far above the subtraction's rounding (≤ 2⁻⁵³ relative) — below the
+    /// window end. Below the deadline neither can act; at or past it
+    /// [`Cpu::service_deadline`] evaluates the exact predicates, so the
+    /// margin costs at most a few no-op services per window.
+    fn rearm_deadline(&mut self) {
+        let mut d = f64::INFINITY;
+        if let Some(s) = &self.sampler {
+            d = s.due_at();
+        }
+        if self.governor_on {
+            d = d.min((self.win_start_s + self.governor.interval_s) * (1.0 - 1e-12));
+        }
+        self.deadline = d;
     }
 
     /// Re-evaluate the governor for every completed window. A long advance
@@ -665,32 +861,71 @@ impl Cpu {
         rc
     }
 
-    /// Charge `k` known-hit accesses of one flavor.
+    /// Charge `k` known-hit accesses of the `(write, tcm)` flavor.
     ///
     /// This replays, per access, the exact f64 additions of the scalar path
     /// — fetch, optional decode switch, hit price, busy cycles, wall time,
-    /// background energy, governor-window credit — with every operand
-    /// precomputed. Because each operand is the identical f64 the scalar
-    /// path would have produced and the additions run in the same order,
-    /// the accumulators end bit-identical; only per-access *lookups* are
-    /// hoisted, never the arithmetic.
+    /// background energy, governor- and sampler-window credit — with every
+    /// operand precomputed. Because each operand is the identical f64 the
+    /// scalar path would have produced and the additions run in the same
+    /// order, the accumulators end bit-identical; only per-access *lookups*
+    /// are hoisted, never the arithmetic. A hit has a single time step, at
+    /// its end, so servicing the deadline after the access that reaches it
+    /// acts exactly where the per-access verbs would; the flavor is then
+    /// reloaded in case the P-state moved.
     ///
-    /// Preconditions (enforced by callers): governor off, no sampler, no
-    /// fillable chase shadow, every access a known L1D/TCM hit.
-    fn charge_known_run(&mut self, f: RunFlavor, class: u8, k: u64) {
+    /// Preconditions (enforced by callers): no fillable chase shadow, every
+    /// access a known L1D/TCM hit.
+    fn charge_known_run(&mut self, write: bool, tcm: bool, k: u64) {
+        let fi = flavor_index(write, tcm);
         self.pmu.add(Event::Instructions, k);
-        for _ in 0..k {
-            self.meter.charge(f.fetch);
-            if self.last_class != class && self.last_class != u8::MAX {
-                self.meter.charge(f.decode);
-            }
-            self.last_class = class;
-            self.meter.charge(f.price);
-            self.busy_cycles += f.busy;
-            self.time_s += f.dt;
-            self.meter.charge(f.bg_nj);
-            self.win_active_s += f.dt;
+        let mut left = k;
+        while left > 0 {
+            let f = self.run_charges().flavors[fi];
+            left -= self.charge_hits_to_deadline(&f, write as u8, left);
+            self.check_deadline();
         }
+    }
+
+    /// Up to `n` known hits of flavor `f`, stopping after the access whose
+    /// time step reaches the deadline; returns how many were charged. The
+    /// accumulators live in locals for the loop — it makes no calls, so
+    /// they stay in registers — and are stored back once.
+    #[inline(always)]
+    fn charge_hits_to_deadline(&mut self, f: &RunFlavor, class: u8, n: u64) -> u64 {
+        let mut meter = self.meter;
+        let mut last_class = self.last_class;
+        let mut busy = self.busy_cycles;
+        let mut t = self.time_s;
+        let mut win = self.win_active_s;
+        let mut sample = self.sample_active_s;
+        let deadline = self.deadline;
+        let mut i = 0;
+        while i < n {
+            meter.charge(f.fetch);
+            if last_class != class && last_class != u8::MAX {
+                meter.charge(f.decode);
+            }
+            last_class = class;
+            meter.charge(f.price);
+            busy += f.busy;
+            t += f.dt;
+            meter.charge(f.bg_nj);
+            win += f.dt;
+            sample += f.dt;
+            i += 1;
+            if t >= deadline {
+                break;
+            }
+            debug_assert!(!self.acts_at(t), "deadline not conservative");
+        }
+        self.meter = meter;
+        self.last_class = last_class;
+        self.busy_cycles = busy;
+        self.time_s = t;
+        self.win_active_s = win;
+        self.sample_active_s = sample;
+        i
     }
 
     /// Charge `k` TCM accesses (always hits; no cache or DRAM state).
@@ -701,14 +936,14 @@ impl Cpu {
             Event::TcmLoad
         };
         self.pmu.add(ev, k);
-        let f = self.run_charges().flavors[flavor_index(write, true)];
-        self.charge_known_run(f, write as u8, k);
+        self.charge_known_run(write, true, k);
     }
 
-    /// Route one access through the full scalar path (fallback bookkeeping).
+    /// Route one line of a run through the per-access verbs, counting it
+    /// as a fallback for `why`.
     #[inline]
-    fn scalar_step(&mut self, line: u64, write: bool, dep: Dep) {
-        self.run_fallbacks += 1;
+    fn fallback_step(&mut self, line: u64, write: bool, dep: Dep, why: Fallback) {
+        self.fallbacks[why as usize] += 1;
         if write {
             self.store(line);
         } else {
@@ -717,12 +952,21 @@ impl Cpu {
     }
 
     /// Rebuild the fused-path constant table if the operating point changed.
+    /// Every fused step calls this first, so the check stays inline and the
+    /// rebuild out of line.
+    #[inline(always)]
     fn ensure_cold_charges(&mut self) {
         if let Some(cc) = &self.cold_charges {
             if cc.pstate == self.pstate && cc.ifetch_discount == self.ifetch_discount {
                 return;
             }
         }
+        self.rebuild_cold_charges();
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn rebuild_cold_charges(&mut self) {
         let hz = self.freq_hz();
         let levels = [
             HitLevel::Tcm,
@@ -784,64 +1028,59 @@ impl Cpu {
         });
     }
 
+    /// `advance(0.0, s)` for the fused steps. `table_dt` is the caller's
+    /// hoisted `s / hz`, valid only while the operating point it was read
+    /// under still holds; `None` re-derives the charges at the current
+    /// point. Returns whether a deadline was serviced.
+    #[inline(always)]
+    fn stall_fast(&mut self, s: f64, table_dt: Option<f64>) -> bool {
+        if table_dt.is_none() {
+            self.ensure_cold_charges();
+        }
+        let cc = self.cold_charges.as_ref().expect("ensured by caller");
+        self.stall_cycles += s;
+        self.meter.charge(scale_price(cc.stall_unit, s));
+        let dt = table_dt.unwrap_or_else(|| s / cc.hz);
+        let bg = cc.bg;
+        self.pass_time(dt, true, bg)
+    }
+
     /// One chase load of a non-TCM `line` through the fused walk — exactly
-    /// [`Cpu::load`] with [`Dep::Chase`] under the fast-path preconditions
-    /// (governor off, no sampler, operating point cached). The settle,
-    /// charge and shadow re-arm sequences replay the scalar additions with
-    /// hoisted operands.
+    /// [`Cpu::load`] with [`Dep::Chase`]. The settle, charge and shadow
+    /// re-arm sequences replay the scalar additions with hoisted operands.
+    /// A deadline serviced by the settle moves the whole load to the new
+    /// operating point (the scalar verb reads the frequency after
+    /// settling); one serviced by the load's own time step leaves the
+    /// re-armed shadow at the load's issue-time latency.
     fn chase_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) {
         // Chase lines are random: start pulling their (host-side) L2/L3 set
         // slices now so they arrive while the settle arithmetic runs.
         self.hier.prefetch_sets(line);
-        let cc = self.cold_charges.as_ref().expect("ensured by caller");
+        self.ensure_cold_charges();
         // settle(): resolve the previous chase shadow as stall.
         if self.pending > 0.0 {
             let p = self.pending;
             self.pending = 0.0;
             self.fillable = 0.0;
-            self.stall_cycles += p;
-            self.meter
-                .charge(crate::energy::scale_price(cc.stall_unit, p));
-            let dt = p / cc.hz;
-            self.time_s += dt;
-            self.meter.charge_power(cc.bg, dt);
-            self.win_active_s += dt;
+            if self.stall_fast(p, None) {
+                self.ensure_cold_charges();
+            }
         }
         let r = self.hier.load_fused(line, ctx, &mut self.pmu);
         let level = r.level.expect("load always resolves to a level");
         let ix = level_ix(level);
         self.pmu.bump(Event::Instructions);
-        // charge_frontend(0)
-        self.meter.charge(cc.fetch);
-        if self.last_class != 0 && self.last_class != u8::MAX {
-            self.meter.charge(cc.decode);
-        }
-        self.last_class = 0;
+        let cc = self.cold_charges.as_ref().expect("ensured above");
+        cc.frontend(&mut self.meter, &mut self.last_class, 0);
         self.meter.charge(cc.load[ix][r.dram_row_hit as usize]);
-        // charge_access_side_effects
-        for _ in 0..r.pf_l2 {
-            self.meter.charge(cc.pf_l2);
-        }
-        for i in 0..r.pf_l3 {
-            self.meter.charge(cc.pf_l3[(i < r.pf_l3_row_hits) as usize]);
-        }
-        for _ in 0..r.wb_l1 {
-            self.meter.charge(cc.wb[0]);
-        }
-        for _ in 0..r.wb_l2 {
-            self.meter.charge(cc.wb[1]);
-        }
-        for _ in 0..r.wb_l3 {
-            self.meter.charge(cc.wb[2]);
-        }
-        // advance(1.0, 0.0)
+        cc.side_effects(&mut self.meter, &r);
+        // advance(1.0, 0.0), then re-arm the shadow.
+        let (dt, bg) = (cc.one_dt, cc.bg);
+        let (pending, fillable) = (cc.chase_pending[ix], cc.chase_fillable[ix]);
         self.busy_cycles += 1.0;
-        self.time_s += cc.one_dt;
-        self.meter.charge_power(cc.bg, cc.one_dt);
-        self.win_active_s += cc.one_dt;
-        // Re-arm the shadow.
-        self.pending = cc.chase_pending[ix];
-        self.fillable = cc.chase_fillable[ix];
+        self.pass_time(dt, true, bg);
+        self.pending = pending;
+        self.fillable = fillable;
         if matches!(level, HitLevel::L1d) {
             self.run_batched_lines += 1;
         } else {
@@ -850,106 +1089,61 @@ impl Cpu {
     }
 
     /// One stream load of a non-TCM `line` through the fused walk — exactly
-    /// [`Cpu::load`] with [`Dep::Stream`] under the fast-path preconditions
-    /// (plus `fillable == 0`, so `busy_work` reduces to `advance`).
+    /// [`Cpu::load`] with [`Dep::Stream`] while `fillable == 0` (so
+    /// `busy_work` reduces to `advance`). A miss stall keeps its cycles
+    /// from the issue-time latency even when the issue step serviced a
+    /// deadline; only its price, time and background power move to the new
+    /// P-state, as in `advance`.
     fn stream_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) {
-        let cc = self.cold_charges.as_ref().expect("ensured by caller");
+        self.ensure_cold_charges();
         let r = self.hier.load_fused(line, ctx, &mut self.pmu);
         let level = r.level.expect("load always resolves to a level");
         let ix = level_ix(level);
         self.pmu.bump(Event::Instructions);
-        // charge_frontend(0)
-        self.meter.charge(cc.fetch);
-        if self.last_class != 0 && self.last_class != u8::MAX {
-            self.meter.charge(cc.decode);
-        }
-        self.last_class = 0;
+        let cc = self.cold_charges.as_ref().expect("ensured above");
+        cc.frontend(&mut self.meter, &mut self.last_class, 0);
         self.meter.charge(cc.load[ix][r.dram_row_hit as usize]);
-        // charge_access_side_effects
-        for _ in 0..r.pf_l2 {
-            self.meter.charge(cc.pf_l2);
-        }
-        for i in 0..r.pf_l3 {
-            self.meter.charge(cc.pf_l3[(i < r.pf_l3_row_hits) as usize]);
-        }
-        for _ in 0..r.wb_l1 {
-            self.meter.charge(cc.wb[0]);
-        }
-        for _ in 0..r.wb_l2 {
-            self.meter.charge(cc.wb[1]);
-        }
-        for _ in 0..r.wb_l3 {
-            self.meter.charge(cc.wb[2]);
-        }
+        cc.side_effects(&mut self.meter, &r);
         // busy_work(issue) with no fillable shadow → advance(issue, 0.0)
+        let (dt, bg) = (cc.issue_dt, cc.bg);
+        let (stall, stall_dt) = (cc.stream_stall[ix], cc.stream_stall_dt[ix]);
         self.busy_cycles += cc.issue;
-        self.time_s += cc.issue_dt;
-        self.meter.charge_power(cc.bg, cc.issue_dt);
-        self.win_active_s += cc.issue_dt;
+        let ticked = self.pass_time(dt, true, bg);
         if matches!(level, HitLevel::L1d) {
             self.run_batched_lines += 1;
         } else {
             // advance(0.0, lat / mlp): MLP-amortized exposed latency.
-            let s = cc.stream_stall[ix];
-            self.stall_cycles += s;
-            self.meter
-                .charge(crate::energy::scale_price(cc.stall_unit, s));
-            let dt = cc.stream_stall_dt[ix];
-            self.time_s += dt;
-            self.meter.charge_power(cc.bg, dt);
-            self.win_active_s += dt;
+            self.stall_fast(stall, (!ticked).then_some(stall_dt));
             self.run_cold_batched_lines += 1;
         }
     }
 
     /// One store to a non-TCM `line` through the fused walk — exactly
-    /// [`Cpu::store`] under the fast-path preconditions (plus
-    /// `fillable == 0`).
+    /// [`Cpu::store`] while `fillable == 0`. The write-allocate fill is
+    /// priced and its stall sized at the store's issue-time frequency; a
+    /// deadline serviced by the issue step moves only the stall's price,
+    /// time and background power, as in `advance`.
     fn store_step_fast(&mut self, line: u64, ctx: &mut ColdCtx) {
-        let cc = self.cold_charges.as_ref().expect("ensured by caller");
+        self.ensure_cold_charges();
         let (r, allocated) = self.hier.store_fused(line, ctx, &mut self.pmu);
         self.pmu.bump(Event::Instructions);
-        // charge_frontend(1)
-        self.meter.charge(cc.fetch);
-        if self.last_class != 1 && self.last_class != u8::MAX {
-            self.meter.charge(cc.decode);
-        }
-        self.last_class = 1;
+        let cc = self.cold_charges.as_ref().expect("ensured above");
+        cc.frontend(&mut self.meter, &mut self.last_class, 1);
         self.meter.charge(cc.store);
-        // charge_access_side_effects
-        for _ in 0..r.pf_l2 {
-            self.meter.charge(cc.pf_l2);
-        }
-        for i in 0..r.pf_l3 {
-            self.meter.charge(cc.pf_l3[(i < r.pf_l3_row_hits) as usize]);
-        }
-        for _ in 0..r.wb_l1 {
-            self.meter.charge(cc.wb[0]);
-        }
-        for _ in 0..r.wb_l2 {
-            self.meter.charge(cc.wb[1]);
-        }
-        for _ in 0..r.wb_l3 {
-            self.meter.charge(cc.wb[2]);
-        }
+        cc.side_effects(&mut self.meter, &r);
         // busy_work(1.0) with no fillable shadow → advance(1.0, 0.0)
-        self.busy_cycles += 1.0;
-        self.time_s += cc.one_dt;
-        self.meter.charge_power(cc.bg, cc.one_dt);
-        self.win_active_s += cc.one_dt;
-        if let Some(level) = allocated {
+        let (dt, bg) = (cc.one_dt, cc.bg);
+        let fill = allocated.map(|level| {
             let ix = level_ix(level);
-            // Write-allocate fill: movement energy + softened latency.
-            self.meter.charge(cc.load[ix][r.dram_row_hit as usize]);
-            // advance(0.0, lat / mlp / 2.0)
-            let s = cc.alloc_stall[ix];
-            self.stall_cycles += s;
-            self.meter
-                .charge(crate::energy::scale_price(cc.stall_unit, s));
-            let dt = cc.alloc_stall_dt[ix];
-            self.time_s += dt;
-            self.meter.charge_power(cc.bg, dt);
-            self.win_active_s += dt;
+            let price = cc.load[ix][r.dram_row_hit as usize];
+            (price, cc.alloc_stall[ix], cc.alloc_stall_dt[ix])
+        });
+        self.busy_cycles += 1.0;
+        let ticked = self.pass_time(dt, true, bg);
+        if let Some((price, stall, stall_dt)) = fill {
+            // Write-allocate fill: movement energy + advance(0.0, lat / mlp / 2.0).
+            self.meter.charge(price);
+            self.stall_fast(stall, (!ticked).then_some(stall_dt));
             self.run_cold_batched_lines += 1;
         } else {
             self.run_batched_lines += 1;
@@ -959,11 +1153,10 @@ impl Cpu {
     /// Consume the rest of a run through the fused cold walk, starting at a
     /// known L1D miss. Hits interleaved in the tail take the same fused
     /// steps (charged as batched lines); misses are bulk-charged
-    /// (cold-batched lines). Preconditions: governor off, no sampler,
-    /// `fillable == 0` (stream loads and stores never re-arm it, so it
-    /// stays zero for the whole segment), every line ≥ the TCM limit.
+    /// (cold-batched lines). Preconditions: `fillable == 0` (stream loads
+    /// and stores never re-arm it, so it stays zero for the whole segment),
+    /// every line ≥ the TCM limit.
     fn cold_segment(&mut self, line: &mut u64, left: &mut u64, write: bool) {
-        self.ensure_cold_charges();
         let mut ctx = self.hier.cold_ctx();
         while *left > 0 {
             if write {
@@ -999,11 +1192,10 @@ impl Cpu {
         if !hit {
             return false;
         }
-        let f = self.run_charges().flavors[flavor_index(write, false)];
         let e = self.replay[slot].take().expect("checked above");
         self.hier
             .l1_replay_run(e.line, e.write, &e.ways, &mut self.pmu);
-        self.charge_known_run(f, write as u8, lines);
+        self.charge_known_run(write, false, lines);
         self.run_replayed_lines += lines;
         // The replay advanced the stamp by `lines`; the entry stays valid
         // for an immediately following identical run.
@@ -1023,19 +1215,20 @@ impl Cpu {
     /// single-pass hierarchy walk with hoisted charges (bulk
     /// miss-charging); and runs whose L1D fingerprint proves them identical
     /// to a previously recorded run replay the memoized restamp/charge
-    /// sequence outright. The scalar [`Cpu::load`]/[`Cpu::store`] path
-    /// remains for anything that can observe per-access time: governor
-    /// enabled, a timeline sampler attached, an unfilled chase shadow, TCM
-    /// boundaries, or the fast path disabled via [`set_fastpath`]. For any
-    /// access sequence the PMU counters, RAPL joules and timeline cycles
-    /// are bit-identical to issuing the same accesses one at a time.
+    /// sequence outright. All three run with the governor on and a timeline
+    /// sampler attached: each time step compares the clock against the next
+    /// deadline and services both exactly where the per-access verbs would.
+    /// Single lines fall back to [`Cpu::load`]/[`Cpu::store`] only inside a
+    /// chase run's TCM window, while a chase shadow drains, or with the
+    /// fast path disabled via [`set_fastpath`] (see [`FallbackReasons`]).
+    /// For any access sequence the PMU counters, RAPL joules and timeline
+    /// cycles are bit-identical to issuing the same accesses one at a time.
     pub fn access_run(&mut self, addr: u64, lines: u64, write: bool, dep: Dep) {
         let mut line = addr & !(crate::LINE - 1);
         let mut left = lines;
-        if self.governor_on || self.sampler.is_some() || !fastpath_enabled() {
-            // Governor/sampler observe per-access time: stay fully scalar.
+        if !fastpath_enabled() {
             while left > 0 {
-                self.scalar_step(line, write, dep);
+                self.fallback_step(line, write, dep, Fallback::FastPathOff);
                 line += crate::LINE;
                 left -= 1;
             }
@@ -1045,11 +1238,10 @@ impl Cpu {
         if dep == Dep::Chase && !write {
             // Chase loads settle and re-arm the shadow per access; the
             // fused walk + hoisted charges replay that exactly.
-            self.ensure_cold_charges();
             let mut ctx = self.hier.cold_ctx();
             while left > 0 {
                 if line < tcm_limit {
-                    self.scalar_step(line, write, dep);
+                    self.fallback_step(line, write, dep, Fallback::TcmBoundary);
                 } else {
                     self.chase_step_fast(line, &mut ctx);
                 }
@@ -1072,7 +1264,7 @@ impl Cpu {
                 // A prior chase load left a fillable shadow; scalar steps
                 // drain it (each consumes busy-overlap), then batching can
                 // resume.
-                self.scalar_step(line, write, dep);
+                self.fallback_step(line, write, dep, Fallback::ChaseShadow);
                 line += crate::LINE;
                 left -= 1;
                 continue;
@@ -1120,8 +1312,7 @@ impl Cpu {
                 self.hier.l1_hit_run(line, left, write, &mut self.pmu)
             };
             if k > 0 {
-                let f = self.run_charges().flavors[flavor_index(write, false)];
-                self.charge_known_run(f, write as u8, k);
+                self.charge_known_run(write, false, k);
                 self.run_batched_lines += k;
                 line += k * crate::LINE;
                 left -= k;
@@ -1142,21 +1333,22 @@ impl Cpu {
     /// both cold and warm lines in one pass.
     pub fn copy_run(&mut self, addr: u64, lines: u64) {
         let mut line = addr & !(crate::LINE - 1);
-        if self.governor_on || self.sampler.is_some() || !fastpath_enabled() {
-            for _ in 0..lines {
-                self.scalar_step(line, false, Dep::Stream);
-                self.scalar_step(line, true, Dep::Stream);
-                line += crate::LINE;
-            }
-            return;
-        }
+        let fast = fastpath_enabled();
         let tcm_limit = self.hier.tcm_limit();
-        self.ensure_cold_charges();
         let mut ctx = self.hier.cold_ctx();
         for _ in 0..lines {
-            if line < tcm_limit || self.fillable > 0.0 {
-                self.scalar_step(line, false, Dep::Stream);
-                self.scalar_step(line, true, Dep::Stream);
+            let why = if !fast {
+                Some(Fallback::FastPathOff)
+            } else if line < tcm_limit {
+                Some(Fallback::TcmBoundary)
+            } else if self.fillable > 0.0 {
+                Some(Fallback::ChaseShadow)
+            } else {
+                None
+            };
+            if let Some(why) = why {
+                self.fallback_step(line, false, Dep::Stream, why);
+                self.fallback_step(line, true, Dep::Stream, why);
             } else {
                 self.stream_step_fast(line, &mut ctx);
                 self.store_step_fast(line, &mut ctx);
@@ -1171,8 +1363,13 @@ impl Cpu {
             batched_lines: self.run_batched_lines,
             cold_batched_lines: self.run_cold_batched_lines,
             replayed_lines: self.run_replayed_lines,
-            fallbacks: self.run_fallbacks,
+            fallbacks: self.fallbacks.iter().sum(),
         }
+    }
+
+    /// This machine's [`RunStats::fallbacks`], split by reason.
+    pub fn fallback_reasons(&self) -> FallbackReasons {
+        FallbackReasons::from_counts(self.fallbacks)
     }
 
     /// Shared body of [`Cpu::load_repeat`] / [`Cpu::store_repeat`].
@@ -1188,33 +1385,28 @@ impl Cpu {
         }
         let mut rest = n - 1;
         while rest > 0 {
-            if self.governor_on
-                || self.sampler.is_some()
-                || self.fillable > 0.0
-                || !fastpath_enabled()
-            {
-                self.scalar_step(addr, write, Dep::Stream);
-                rest -= 1;
-                continue;
-            }
-            if addr < self.hier.tcm_limit() {
-                self.charge_tcm_run(write, rest);
-                self.run_batched_lines += rest;
-                return;
-            }
-            let line = addr & !(crate::LINE - 1);
-            if !self.hier.l1_repeat(line, rest, write, &mut self.pmu) {
-                // Not resident (cannot happen right after the first access,
-                // but keeps the fallback total): scalar-step and re-probe.
-                self.scalar_step(addr, write, Dep::Stream);
-                rest -= 1;
-                continue;
-            }
-            let f = self.run_charges().flavors[flavor_index(write, false)];
-            self.charge_known_run(f, write as u8, rest);
-            self.run_batched_lines += rest;
+            let why = if !fastpath_enabled() {
+                Fallback::FastPathOff
+            } else if self.fillable > 0.0 {
+                Fallback::ChaseShadow
+            } else {
+                break;
+            };
+            self.fallback_step(addr, write, Dep::Stream, why);
+            rest -= 1;
+        }
+        if rest == 0 {
             return;
         }
+        if addr < self.hier.tcm_limit() {
+            self.charge_tcm_run(write, rest);
+        } else {
+            let line = addr & !(crate::LINE - 1);
+            let resident = self.hier.l1_repeat(line, rest, write, &mut self.pmu);
+            assert!(resident, "the preceding access left the line in L1D");
+            self.charge_known_run(write, false, rest);
+        }
+        self.run_batched_lines += rest;
     }
 
     // ------------------------------------------------------------------
@@ -1227,13 +1419,20 @@ impl Cpu {
             self.settle();
         }
         let r = self.hier.load(addr, &mut self.pmu);
+        self.charge_load(&r, dep);
+    }
+
+    /// Charge a walked load: prices at the issue-time frequency, then the
+    /// time steps, then the chase shadow. Shared by [`Cpu::load`] and
+    /// [`oracle::load`], which differ only in the walk.
+    fn charge_load(&mut self, r: &AccessResult, dep: Dep) {
         let level = r.level.expect("load always resolves to a level");
         let hz = self.freq_hz();
         self.pmu.bump(Event::Instructions);
         self.charge_frontend(0);
         self.meter
             .charge(self.model.load_price(level, r.dram_row_hit, hz));
-        self.charge_access_side_effects(&r);
+        self.charge_access_side_effects(r);
 
         let lat = self.hier.latency_cycles(&self.arch, level, hz);
         match dep {
@@ -1256,12 +1455,17 @@ impl Cpu {
     /// Simulate one store to the line containing `addr`.
     pub fn store(&mut self, addr: u64) {
         let (r, allocated) = self.hier.store(addr, &mut self.pmu);
+        self.charge_store(&r, allocated);
+    }
+
+    /// Charge a walked store (see [`Cpu::charge_load`]).
+    fn charge_store(&mut self, r: &AccessResult, allocated: Option<HitLevel>) {
         let hz = self.freq_hz();
         self.pmu.bump(Event::Instructions);
         self.charge_frontend(1);
         let tcm = matches!(r.level, Some(HitLevel::Tcm));
         self.meter.charge(self.model.store_price(tcm, hz));
-        self.charge_access_side_effects(&r);
+        self.charge_access_side_effects(r);
         self.busy_work(1.0);
         if let Some(level) = allocated {
             // Write-allocate fill: pay the movement energy and a (store-
@@ -1322,7 +1526,7 @@ impl Cpu {
         self.last_class = class;
         let fetch = self.fetch_price_eff(hz);
         let per = crate::energy::add_price(fetch, self.model.op_price(op.class(), hz));
-        self.meter.charge(crate::energy::scale_price(per, n as f64));
+        self.meter.charge(scale_price(per, n as f64));
         self.busy_work(c);
     }
 
@@ -1428,6 +1632,42 @@ impl Cpu {
         let tok = self.begin_measure();
         f(self);
         self.end_measure(tok)
+    }
+}
+
+pub mod oracle {
+    //! The per-access reference semantics, retained as a differential test
+    //! oracle.
+    //!
+    //! [`load`]/[`store`] are [`Cpu::load`]/[`Cpu::store`] over the scalar
+    //! hierarchy walk ([`crate::hierarchy::oracle`]) instead of the fused
+    //! one. Issuing a trace one access at a time through them is the
+    //! semantics every fast path must reproduce bit for bit:
+    //! `tests/access_equiv.rs` replays each trace through these and through
+    //! the production verbs and compares PMU counters, RAPL joules, time and
+    //! cycles with `f64::to_bits`. The charging code — prices, time steps,
+    //! governor and sampler deadlines — is shared with the production
+    //! verbs; debug builds assert at every time step that the deadline
+    //! precheck never skips a governor tick or a sample. Not used by the
+    //! simulator itself; kept always-compiled so integration tests and
+    //! benchmarks in downstream crates can reach it.
+
+    use super::{Cpu, Dep};
+    use crate::hierarchy::oracle as walk;
+
+    /// One load of the line containing `addr` through the scalar walk.
+    pub fn load(cpu: &mut Cpu, addr: u64, dep: Dep) {
+        if dep == Dep::Chase {
+            cpu.settle();
+        }
+        let r = walk::load(&mut cpu.hier, addr, &mut cpu.pmu);
+        cpu.charge_load(&r, dep);
+    }
+
+    /// One store to the line containing `addr` through the scalar walk.
+    pub fn store(cpu: &mut Cpu, addr: u64) {
+        let (r, allocated) = walk::store(&mut cpu.hier, addr, &mut cpu.pmu);
+        cpu.charge_store(&r, allocated);
     }
 }
 
@@ -1715,28 +1955,56 @@ mod tests {
     }
 
     #[test]
-    fn access_run_falls_back_under_governor_and_sampler() {
-        let drive = |batched: bool| -> Measurement {
+    fn access_run_batches_under_governor_and_sampler() {
+        // A 0.1 µs window and sampler interval put several deadlines inside
+        // every 256-line run; the run must still batch and match the oracle.
+        let drive = |batched: bool| -> (Measurement, RunStats) {
             let mut c = cpu();
             let r = c.alloc(16 * 1024).unwrap();
             for i in 0..256u64 {
                 c.load(r.addr + i * 64, Dep::Stream);
             }
             c.set_governor(true);
-            c.attach_sampler(1e-6);
+            c.set_governor_interval(1e-7);
+            c.attach_sampler(1e-7);
             let t = c.begin_measure();
-            if batched {
-                c.access_run(r.addr, 256, false, Dep::Stream);
-            } else {
-                for i in 0..256u64 {
-                    c.load(r.addr + i * 64, Dep::Stream);
+            for _ in 0..8 {
+                if batched {
+                    c.access_run(r.addr, 256, false, Dep::Stream);
+                    c.idle_c0(2e-6);
+                } else {
+                    for i in 0..256u64 {
+                        oracle::load(&mut c, r.addr + i * 64, Dep::Stream);
+                    }
+                    c.idle_c0(2e-6);
                 }
             }
-            c.end_measure(t)
+            let m = c.end_measure(t);
+            let s = c.take_sampler().expect("attached");
+            assert!(s.samples.len() > 100, "{} samples", s.samples.len());
+            (m, c.run_stats())
         };
-        let ma = drive(false);
-        let mb = drive(true);
+        let (ma, _) = drive(false);
+        let (mb, st) = drive(true);
         assert_identical(&ma, &mb);
+        assert_eq!(st.batched_lines + st.replayed_lines, 8 * 256);
+        assert_eq!(st.fallbacks, 0);
+    }
+
+    #[test]
+    fn a_sample_taken_in_a_tick_step_records_the_pre_tick_pstate() {
+        // One 2.5 µs busy step crosses two shared sampler/governor
+        // boundaries: both samples see P8, then the governor ramps twice.
+        let mut c = cpu();
+        c.set_pstate(PState::P8);
+        c.set_governor(true);
+        c.set_governor_interval(1e-6);
+        c.attach_sampler(1e-6);
+        c.exec_n(ExecOp::Add, 4000);
+        let s = c.take_sampler().expect("attached");
+        assert_eq!(s.samples.len(), 2);
+        assert!(s.samples.iter().all(|x| x.pstate == PState::P8));
+        assert_eq!(c.pstate(), PState(16));
     }
 
     #[test]

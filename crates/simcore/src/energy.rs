@@ -391,7 +391,7 @@ impl EnergyModel {
 }
 
 /// Accumulating meter.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct EnergyMeter {
     core_nj: f64,
     pkg_extra_nj: f64,

@@ -36,6 +36,18 @@
 //! minimal model that reproduces the paper's Fig. 3 contrast between list
 //! traversal (IPC ≈ 0.26) and array traversal (IPC ≈ 2).
 //!
+//! ## Fast paths
+//!
+//! The run verbs ([`Cpu::access_run`], [`Cpu::copy_run`],
+//! [`Cpu::load_repeat`], [`Cpu::store_repeat`]) push sequential and
+//! repeated accesses through three fast regimes — hot batch, fused cold
+//! walk, memoized replay — whose PMU counts, joules and cycles are
+//! bit-identical to simulating each access on its own. They also run with
+//! the EIST governor on and a timeline sampler attached: both are serviced
+//! at simulated-time deadlines inside runs. The scalar walk the fast paths
+//! are checked against is kept as a test oracle ([`hierarchy::oracle`],
+//! [`cpu::oracle`]).
+//!
 //! ## Example
 //!
 //! ```
@@ -64,8 +76,8 @@ pub mod timeline;
 pub use arch::{ArchConfig, ArchKind, CacheConfig};
 pub use arena::{Arena, MemError, Region};
 pub use cpu::{
-    set_fastpath, take_cache_bytes_resident, take_run_stats, Cpu, Dep, ExecOp, Measurement,
-    RunStats,
+    set_fastpath, take_cache_bytes_resident, take_fallback_reasons, take_run_stats, Cpu, Dep,
+    ExecOp, FallbackReasons, Measurement, RunStats,
 };
 pub use dvfs::{Governor, PState};
 pub use energy::{Domain, RaplReading};

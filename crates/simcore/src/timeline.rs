@@ -25,7 +25,6 @@ pub struct TimelineSampler {
     /// Sampling interval in simulated seconds.
     pub interval_s: f64,
     next_t: f64,
-    window_active_s: f64,
     /// Collected samples.
     pub samples: Vec<TimelineSample>,
 }
@@ -37,33 +36,37 @@ impl TimelineSampler {
         TimelineSampler {
             interval_s,
             next_t: now + interval_s,
-            window_active_s: 0.0,
             samples: Vec::new(),
         }
     }
 
-    /// Record `dt` seconds of wall time, `active` of which were non-idle,
-    /// emitting samples for every boundary crossed.
-    pub(crate) fn advance(
+    /// The earliest clock reading at which [`TimelineSampler::fire`] emits a
+    /// sample: `fire(now, ..)` is a no-op exactly when `now < due_at()`.
+    #[inline]
+    pub(crate) fn due_at(&self) -> f64 {
+        self.next_t - 1e-12
+    }
+
+    /// Emit a sample for every boundary the clock `now` has crossed.
+    /// `window_active_s` is the busy time of the current window, summed by
+    /// the CPU one addition per busy time step (so the total is the same
+    /// f64 however the steps are batched); each sample resets it.
+    pub(crate) fn fire(
         &mut self,
         now: f64,
-        dt: f64,
-        active: bool,
+        window_active_s: &mut f64,
         pstate: PState,
         rapl: RaplReading,
     ) {
-        if active {
-            self.window_active_s += dt;
-        }
-        while now >= self.next_t - 1e-12 {
-            let util = (self.window_active_s / self.interval_s).clamp(0.0, 1.0);
+        while now >= self.due_at() {
+            let util = (*window_active_s / self.interval_s).clamp(0.0, 1.0);
             self.samples.push(TimelineSample {
                 t_s: self.next_t,
                 pstate,
                 utilization: util,
                 rapl,
             });
-            self.window_active_s = 0.0;
+            *window_active_s = 0.0;
             self.next_t += self.interval_s;
         }
     }
@@ -82,12 +85,21 @@ impl TimelineSampler {
 mod tests {
     use super::*;
 
+    /// `dt` seconds of wall time ending at `now`, as the CPU records them.
+    fn step(s: &mut TimelineSampler, busy: &mut f64, now: f64, dt: f64, active: bool, ps: PState) {
+        if active {
+            *busy += dt;
+        }
+        s.fire(now, busy, ps, RaplReading::default());
+    }
+
     #[test]
     fn samples_fire_on_interval_boundaries() {
         let mut s = TimelineSampler::new(0.1, 0.0);
-        s.advance(0.05, 0.05, true, PState::P36, RaplReading::default());
+        let mut busy = 0.0;
+        step(&mut s, &mut busy, 0.05, 0.05, true, PState::P36);
         assert!(s.samples.is_empty());
-        s.advance(0.25, 0.20, true, PState::P36, RaplReading::default());
+        step(&mut s, &mut busy, 0.25, 0.20, true, PState::P36);
         assert_eq!(s.samples.len(), 2);
         assert!((s.samples[0].t_s - 0.1).abs() < 1e-12);
         assert!((s.samples[1].t_s - 0.2).abs() < 1e-12);
@@ -96,9 +108,10 @@ mod tests {
     #[test]
     fn residency_counts_pstates() {
         let mut s = TimelineSampler::new(0.1, 0.0);
-        s.advance(0.1, 0.1, true, PState::P36, RaplReading::default());
-        s.advance(0.2, 0.1, true, PState::P36, RaplReading::default());
-        s.advance(0.3, 0.1, false, PState::P12, RaplReading::default());
+        let mut busy = 0.0;
+        step(&mut s, &mut busy, 0.1, 0.1, true, PState::P36);
+        step(&mut s, &mut busy, 0.2, 0.1, true, PState::P36);
+        step(&mut s, &mut busy, 0.3, 0.1, false, PState::P12);
         assert!((s.residency(PState::P36) - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -1,20 +1,32 @@
 //! Differential test for the batched memory-access fast path.
 //!
-//! `Cpu::access_run` / `Cpu::load_repeat` / `Cpu::store_repeat` promise that
-//! for *any* access sequence the PMU counters, RAPL joules and timeline
-//! cycles are bit-identical to issuing the same accesses one at a time
-//! through the scalar verbs. This test replays traces twice — once expanded
-//! to scalar `load`/`store`, once through the batched entry points — and
-//! compares the two `Measurement`s exactly (`f64::to_bits`, not an epsilon).
+//! `Cpu::access_run` / `Cpu::copy_run` / `Cpu::load_repeat` /
+//! `Cpu::store_repeat` promise that for *any* access sequence the PMU
+//! counters, RAPL joules and timeline cycles are bit-identical to issuing
+//! the same accesses one at a time through the reference verbs
+//! (`simcore::cpu::oracle`: the per-access charging over the scalar
+//! hierarchy walk). This test replays traces twice — once expanded to
+//! oracle loads and stores, once through the production entry points — and
+//! compares the two `Measurement`s exactly (`f64::to_bits`, not an
+//! epsilon), plus every timeline sample when a sampler is attached.
 //!
 //! Traces cover the randomized case plus the adversarial shapes that have
 //! historically broken "fast path equals slow path" claims: set-conflict
 //! strides that evict mid-run, cold runs crossing DRAM row boundaries with
 //! the prefetcher on, runs straddling the TCM window on the ARM part,
-//! chase shadows draining into a run, P-state changes between runs, and the
-//! governor/sampler modes where batching must disable itself entirely.
+//! chase shadows draining into a run, and P-state changes between runs.
+//! The fast regimes also run with the EIST governor on and a timeline
+//! sampler attached, serviced at simulated-time deadlines inside runs, so
+//! the governed traces put governor ticks and samples mid-hot-run,
+//! mid-chase, between a miss's issue slot and its stall and inside
+//! write-allocates, with idle gaps that ramp the P-state down and back up —
+//! and assert that those traces really batch.
 
-use simcore::{ArchConfig, Cpu, Dep, ExecOp, Measurement, PState, LINE};
+use simcore::cpu::oracle;
+use simcore::{
+    ArchConfig, Cpu, Dep, ExecOp, FallbackReasons, Measurement, PState, RunStats, TimelineSampler,
+    LINE,
+};
 
 /// xorshift64* — deterministic, no external dependency.
 struct Rng(u64);
@@ -65,11 +77,30 @@ enum Op {
     Store {
         addr: u64,
     },
+    /// `lines` lines of load-then-store copy from `addr`.
+    Copy {
+        addr: u64,
+        lines: u64,
+    },
     Exec(ExecOp),
     SetPstate(u8),
+    /// C0 idle (the governor sees zero utilization and ramps down).
+    Idle(f64),
+    Flush,
 }
 
-/// Replay through the scalar verbs only (the reference semantics).
+/// The ops both replays issue identically.
+fn replay_common(cpu: &mut Cpu, op: Op) {
+    match op {
+        Op::Exec(op) => cpu.exec(op),
+        Op::SetPstate(n) => cpu.set_pstate(PState(n)),
+        Op::Idle(s) => cpu.idle_c0(s),
+        Op::Flush => cpu.flush_caches(),
+        _ => unreachable!("access op {op:?}"),
+    }
+}
+
+/// Replay through the oracle verbs only (the reference semantics).
 fn replay_scalar(cpu: &mut Cpu, ops: &[Op]) {
     for &op in ops {
         match op {
@@ -82,25 +113,31 @@ fn replay_scalar(cpu: &mut Cpu, ops: &[Op]) {
                 let base = addr & !(LINE - 1);
                 for i in 0..lines {
                     if write {
-                        cpu.store(base + i * LINE);
+                        oracle::store(cpu, base + i * LINE);
                     } else {
-                        cpu.load(base + i * LINE, dep);
+                        oracle::load(cpu, base + i * LINE, dep);
                     }
                 }
             }
             Op::Repeat { addr, n, write } => {
                 for _ in 0..n {
                     if write {
-                        cpu.store(addr);
+                        oracle::store(cpu, addr);
                     } else {
-                        cpu.load(addr, Dep::Stream);
+                        oracle::load(cpu, addr, Dep::Stream);
                     }
                 }
             }
-            Op::Load { addr, dep } => cpu.load(addr, dep),
-            Op::Store { addr } => cpu.store(addr),
-            Op::Exec(op) => cpu.exec(op),
-            Op::SetPstate(n) => cpu.set_pstate(PState(n)),
+            Op::Copy { addr, lines } => {
+                let base = addr & !(LINE - 1);
+                for i in 0..lines {
+                    oracle::load(cpu, base + i * LINE, Dep::Stream);
+                    oracle::store(cpu, base + i * LINE);
+                }
+            }
+            Op::Load { addr, dep } => oracle::load(cpu, addr, dep),
+            Op::Store { addr } => oracle::store(cpu, addr),
+            op => replay_common(cpu, op),
         }
     }
 }
@@ -122,10 +159,10 @@ fn replay_batched(cpu: &mut Cpu, ops: &[Op]) {
                     cpu.load_repeat(addr, n);
                 }
             }
+            Op::Copy { addr, lines } => cpu.copy_run(addr, lines),
             Op::Load { addr, dep } => cpu.load(addr, dep),
             Op::Store { addr } => cpu.store(addr),
-            Op::Exec(op) => cpu.exec(op),
-            Op::SetPstate(n) => cpu.set_pstate(PState(n)),
+            op => replay_common(cpu, op),
         }
     }
 }
@@ -148,9 +185,45 @@ fn assert_identical(scalar: &Measurement, batched: &Measurement, what: &str) {
     }
 }
 
-/// Run `ops` on two identically-configured CPUs and demand bit equality.
-/// `setup` runs on both before the measured window (knobs, warming).
-fn check(arch: fn() -> ArchConfig, setup: impl Fn(&mut Cpu), ops: &[Op], what: &str) {
+/// Bitwise equality of two samplers' timelines (both present or both not).
+fn assert_samples_identical(
+    scalar: Option<TimelineSampler>,
+    batched: Option<TimelineSampler>,
+    what: &str,
+) {
+    let (Some(a), Some(b)) = (&scalar, &batched) else {
+        assert_eq!(scalar.is_some(), batched.is_some(), "{what}: sampler");
+        return;
+    };
+    assert_eq!(a.samples.len(), b.samples.len(), "{what}: sample count");
+    for (i, (x, y)) in a.samples.iter().zip(&b.samples).enumerate() {
+        assert_eq!(x.pstate, y.pstate, "{what}: sample {i} P-state");
+        for (name, u, v) in [
+            ("t_s", x.t_s, y.t_s),
+            ("utilization", x.utilization, y.utilization),
+            ("core_j", x.rapl.core_j, y.rapl.core_j),
+            ("package_j", x.rapl.package_j, y.rapl.package_j),
+            ("memory_j", x.rapl.memory_j, y.rapl.memory_j),
+        ] {
+            assert_eq!(
+                u.to_bits(),
+                v.to_bits(),
+                "{what}: sample {i} {name} ({u} vs {v})"
+            );
+        }
+    }
+}
+
+/// Run `ops` on two identically-configured CPUs and demand bit equality of
+/// the measurements and of any timeline samples. `setup` runs on both
+/// before the measured window (knobs, warming). Returns the batched
+/// machine's line counters.
+fn check(
+    arch: fn() -> ArchConfig,
+    setup: impl Fn(&mut Cpu),
+    ops: &[Op],
+    what: &str,
+) -> (RunStats, FallbackReasons) {
     let mut scalar_cpu = Cpu::new(arch());
     let mut batched_cpu = Cpu::new(arch());
     scalar_cpu.alloc(1 << 21).unwrap();
@@ -160,6 +233,22 @@ fn check(arch: fn() -> ArchConfig, setup: impl Fn(&mut Cpu), ops: &[Op], what: &
     let scalar = scalar_cpu.measure(|c| replay_scalar(c, ops));
     let batched = batched_cpu.measure(|c| replay_batched(c, ops));
     assert_identical(&scalar, &batched, what);
+    assert_eq!(scalar.pstate, batched.pstate, "{what}: final P-state");
+    assert_samples_identical(scalar_cpu.take_sampler(), batched_cpu.take_sampler(), what);
+    (batched_cpu.run_stats(), batched_cpu.fallback_reasons())
+}
+
+/// A governed x86 replay must really batch: the fast regimes carry over
+/// 90% of the lines, and the only fallbacks are chase-shadow drains — no
+/// TCM lines exist there, and nothing falls back wholesale.
+fn assert_batches((st, why): (RunStats, FallbackReasons), what: &str) {
+    assert_eq!(why.total(), st.fallbacks, "{what}: {why:?} vs {st:?}");
+    assert_eq!(why.chase_shadow, st.fallbacks, "{what}: {why:?}");
+    let fast = st.batched_lines + st.cold_batched_lines + st.replayed_lines;
+    assert!(
+        fast > 0 && st.fallbacks * 10 < fast,
+        "{what}: the fast regimes must carry the trace ({st:?})"
+    );
 }
 
 /// A randomized mix of runs, repeats, scalar accesses, exec ops and
@@ -336,11 +425,10 @@ fn chase_shadow_drains_into_run_identically() {
     );
 }
 
-#[test]
-fn tcm_straddling_runs_on_arm_are_identical() {
-    // ARM1176: addresses 0..32768 are the data TCM. Runs that start inside
-    // the window and extend past it must split TCM-batch / cache-scalar at
-    // exactly the boundary.
+/// ARM1176: addresses 0..32768 are the data TCM. Runs that start inside
+/// the window and extend past it must split TCM-batch / cache-walk at
+/// exactly the boundary.
+fn tcm_straddle_trace() -> Vec<Op> {
     let tcm_end: u64 = 32 * 1024;
     let mut ops = vec![
         Op::Run {
@@ -386,36 +474,277 @@ fn tcm_straddling_runs_on_arm_are_identical() {
             },
         });
     }
-    check(ArchConfig::arm1176jzf_s, |_| {}, &ops, "TCM straddle");
+    ops
+}
+
+#[test]
+fn tcm_straddling_runs_on_arm_are_identical() {
+    check(
+        ArchConfig::arm1176jzf_s,
+        |_| {},
+        &tcm_straddle_trace(),
+        "TCM straddle",
+    );
+}
+
+/// `random_trace` with the shapes the governor and sampler care about
+/// mixed in: C0 idle gaps of one to four `idle_s` (the governor ramps the
+/// P-state down, then back up inside the following runs), copies, and
+/// cache flushes that keep misses — so issue-to-stall gaps and
+/// write-allocates — coming.
+fn governed_trace(seed: u64, len: usize, idle_s: f64) -> Vec<Op> {
+    let mut rng = Rng::new(seed ^ 0x90e5);
+    let mut ops = Vec::with_capacity(len + len / 4);
+    for op in random_trace(seed, len) {
+        ops.push(op);
+        match rng.below(16) {
+            0 | 1 => ops.push(Op::Idle(idle_s * (1 + rng.below(4)) as f64)),
+            2 => ops.push(Op::Copy {
+                addr: (1 << 21) + rng.below(1 << 20),
+                lines: rng.below(48),
+            }),
+            3 => ops.push(Op::Flush),
+            _ => {}
+        }
+    }
+    ops
+}
+
+/// Long warm rescans of a 64 KB window — hot batches and replays many
+/// windows long — between idle gaps of `idle_s`, so even a 15 µs governor
+/// ticks inside hot runs while ramping.
+fn hot_rescan_trace(idle_s: f64, blocks: u64, runs: u64) -> Vec<Op> {
+    let base: u64 = 1 << 21;
+    let mut ops = Vec::new();
+    for b in 0..blocks {
+        ops.push(Op::Idle(idle_s));
+        for r in 0..runs {
+            ops.push(Op::Run {
+                addr: base + (r % 4) * 256 * LINE,
+                lines: 1024 - 256 * (r % 4),
+                write: (b + r) % 3 == 0,
+                dep: Dep::Stream,
+            });
+        }
+    }
+    ops
 }
 
 #[test]
 fn governor_and_sampler_modes_stay_identical() {
-    // With the EIST governor or a timeline sampler active, the fast path
-    // must disable itself wholesale — both observe per-access time.
-    let ops = random_trace(0x60_5e_44, 300);
-    check(
-        ArchConfig::intel_i7_4790,
-        |c| c.set_governor(true),
-        &ops,
-        "governor on",
-    );
-    check(
-        ArchConfig::intel_i7_4790,
-        |c| c.attach_sampler(1e-5),
-        &ops,
-        "sampler attached",
-    );
-    check(
-        ArchConfig::intel_i7_4790,
-        |c| {
+    // With the EIST governor or a timeline sampler active the fast regimes
+    // stay on: deadlines inside runs service both exactly where the
+    // per-access verbs would, and the trace must still batch.
+    let ops = governed_trace(0x60_5e_44, 300, 1e-6);
+    for (what, setup) in [
+        (
+            "governor on",
+            &(|c: &mut Cpu| c.set_governor(true)) as &dyn Fn(&mut Cpu),
+        ),
+        ("sampler attached", &|c: &mut Cpu| c.attach_sampler(1e-5)),
+        ("governor + sampler + prefetch", &|c: &mut Cpu| {
             c.set_governor(true);
+            c.set_governor_interval(1e-6);
             c.attach_sampler(1e-5);
             c.set_prefetch(true);
-        },
-        &ops,
-        "governor + sampler + prefetch",
-    );
+        }),
+    ] {
+        assert_batches(check(ArchConfig::intel_i7_4790, setup, &ops, what), what);
+    }
+}
+
+#[test]
+fn governor_ticks_mid_run_are_identical() {
+    // Governor windows of 0.1, 1 and 15 µs, each with idle gaps three
+    // windows long: runs start at a lowered P-state and the ticks that
+    // ramp it back up land inside hot runs, replays, cold segments, chase
+    // runs, repeats and copies.
+    for (interval, seed) in [(1e-7, 11u64), (1e-6, 12), (15e-6, 13)] {
+        let mut ops = hot_rescan_trace(3.0 * interval, 4, 120);
+        ops.extend(governed_trace(seed, 400, 3.0 * interval));
+        for prefetch in [false, true] {
+            let what = format!("governor {interval:e} s, prefetch {prefetch}");
+            let st = check(
+                ArchConfig::intel_i7_4790,
+                |c| {
+                    c.set_prefetch(prefetch);
+                    c.set_governor(true);
+                    c.set_governor_interval(interval);
+                },
+                &ops,
+                &what,
+            );
+            assert_batches(st, &what);
+        }
+    }
+}
+
+#[test]
+fn sampler_alone_and_with_governor_is_identical() {
+    // Samples record the P-state, the meter and the window's busy share at
+    // each boundary; a sampler sharing the governor's 0.1 µs boundaries
+    // samples in the same time step as the tick (the sample must see the
+    // pre-tick P-state), and every busy step must reach its window
+    // accumulator as its own addition.
+    for sample_s in [1e-7, 1e-5] {
+        for governor_s in [None, Some(1e-7), Some(15e-6)] {
+            let idle = governor_s.unwrap_or(sample_s) * 2.0;
+            let mut ops = hot_rescan_trace(idle, 3, 60);
+            ops.extend(governed_trace(0x5a ^ sample_s.to_bits(), 300, idle));
+            let what = format!("sampler {sample_s:e} s, governor {governor_s:?}");
+            let st = check(
+                ArchConfig::intel_i7_4790,
+                |c| {
+                    c.set_prefetch(true);
+                    if let Some(g) = governor_s {
+                        c.set_governor(true);
+                        c.set_governor_interval(g);
+                    }
+                    c.attach_sampler(sample_s);
+                },
+                &ops,
+                &what,
+            );
+            assert_batches(st, &what);
+        }
+    }
+}
+
+#[test]
+fn ticks_between_issue_and_stall_are_identical() {
+    // Cold misses have a short issue step and a long stall; stores that
+    // miss write-allocate after their issue step; chase loads settle the
+    // previous shadow before they issue. With 0.1 µs windows and idle gaps
+    // between flushed cold runs the P-state ramps all the time, so ticks
+    // that move it land between a miss's issue slot and its stall, inside
+    // write-allocates, and on either side of a chase's settle.
+    let base: u64 = 1 << 21;
+    let mut rng = Rng::new(0x155e);
+    let mut ops = Vec::new();
+    for i in 0..24u64 {
+        ops.push(Op::Flush);
+        ops.push(Op::Idle(3e-7));
+        ops.push(Op::Run {
+            addr: base + rng.below(8192) * LINE,
+            lines: 200 + rng.below(400),
+            write: i % 2 == 1,
+            dep: Dep::Stream,
+        });
+        ops.push(Op::Idle(3e-7));
+        ops.push(Op::Run {
+            addr: base + rng.below(8192) * LINE,
+            lines: 64,
+            write: false,
+            dep: Dep::Chase,
+        });
+        for _ in 0..32 {
+            ops.push(Op::Run {
+                addr: base + rng.below(16384) * LINE,
+                lines: 1,
+                write: false,
+                dep: Dep::Chase,
+            });
+        }
+        ops.push(Op::Idle(2e-7));
+        ops.push(Op::Copy {
+            addr: base + rng.below(8192) * LINE,
+            lines: 128,
+        });
+    }
+    for prefetch in [false, true] {
+        let what = format!("issue/stall ticks, prefetch {prefetch}");
+        let st = check(
+            ArchConfig::intel_i7_4790,
+            |c| {
+                c.set_prefetch(prefetch);
+                c.set_governor(true);
+                c.set_governor_interval(1e-7);
+                c.attach_sampler(1e-7);
+            },
+            &ops,
+            &what,
+        );
+        assert_batches(st, &what);
+        assert!(st.0.cold_batched_lines > 10_000, "{what}: {:?}", st.0);
+    }
+}
+
+#[test]
+fn repeat_and_copy_verbs_under_governor_are_identical() {
+    // load_repeat/store_repeat charge thousands of known hits per call and
+    // copy_run alternates fused loads and stores; a chase load before a
+    // repeat leaves a shadow its first accesses drain.
+    let base: u64 = 1 << 21;
+    let mut rng = Rng::new(0x4e9);
+    let mut ops = Vec::new();
+    for i in 0..40u64 {
+        let addr = base + rng.below(1 << 20);
+        if i % 3 == 0 {
+            ops.push(Op::Load {
+                addr: base + rng.below(1 << 20),
+                dep: Dep::Chase,
+            });
+        }
+        ops.push(Op::Repeat {
+            addr,
+            n: 500 + rng.below(3000),
+            write: i % 2 == 0,
+        });
+        ops.push(Op::Copy {
+            addr: base + rng.below(1 << 20),
+            lines: 64 + rng.below(256),
+        });
+        if i % 4 == 3 {
+            ops.push(Op::Idle(1e-6 + 1e-7 * rng.below(10) as f64));
+        }
+    }
+    for interval in [1e-7, 1e-6, 15e-6] {
+        let what = format!("repeat + copy, governor {interval:e} s");
+        let st = check(
+            ArchConfig::intel_i7_4790,
+            |c| {
+                c.set_prefetch(true);
+                c.set_governor(true);
+                c.set_governor_interval(interval);
+            },
+            &ops,
+            &what,
+        );
+        assert_batches(st, &what);
+    }
+}
+
+#[test]
+fn tcm_straddle_with_sampler_is_identical() {
+    // The TCM split under a sampler (and a governor): TCM stretches batch,
+    // chase lines inside the window fall back per line — the only
+    // fallbacks allowed besides shadow drains.
+    let ops = tcm_straddle_trace();
+    for governor in [false, true] {
+        let what = format!("TCM straddle + sampler, governor {governor}");
+        let (st, why) = check(
+            ArchConfig::arm1176jzf_s,
+            |c| {
+                c.attach_sampler(1e-7);
+                if governor {
+                    c.set_governor(true);
+                    c.set_governor_interval(2e-7);
+                }
+            },
+            &ops,
+            &what,
+        );
+        assert_eq!(why.total(), st.fallbacks, "{what}");
+        assert_eq!(why.fastpath_off, 0, "{what}: {why:?}");
+        assert!(
+            why.tcm_boundary > 0,
+            "{what}: chase lines in the TCM window"
+        );
+        assert!(
+            st.batched_lines + st.cold_batched_lines > 5 * st.fallbacks,
+            "{what}: {st:?}"
+        );
+    }
 }
 
 #[test]

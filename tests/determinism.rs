@@ -172,11 +172,14 @@ fn tracing_changes_nothing_and_traces_are_jobs_independent() {
 #[test]
 fn fast_path_counters_are_jobs_independent() {
     let _guard = seq();
-    const COUNTERS: [&str; 4] = [
+    const COUNTERS: [&str; 7] = [
         "simcore.run_batched_lines",
         "simcore.run_cold_batched_lines",
         "simcore.run_replayed_lines",
         "simcore.run_fallbacks",
+        "simcore.run_fallbacks.tcm_boundary",
+        "simcore.run_fallbacks.chase_shadow",
+        "simcore.run_fallbacks.fastpath_off",
     ];
     let read = |name: &str| {
         mjobs::metrics::global()
@@ -213,6 +216,14 @@ fn fast_path_counters_are_jobs_independent() {
         "the scan-heavy subset must engage the hot fast path"
     );
     assert!(serial[1] > 0, "cold scans must engage the fused cold path");
+    // Every fallback carries a reason: the split sums to the total, and
+    // with the fast paths on none is "fast path off".
+    assert_eq!(
+        serial[4] + serial[5] + serial[6],
+        serial[3],
+        "per-reason fallbacks must sum to simcore.run_fallbacks"
+    );
+    assert_eq!(serial[6], 0, "the fast paths are on in this suite");
 
     // The SoA cache footprint is pure geometry: identical for any --jobs,
     // and non-trivial (the i7-4790 stack's tag + rank + hint arrays).
